@@ -194,9 +194,9 @@ fn cluster_checks(cur: &Loaded, base: &Loaded, failures: &mut Vec<String>) -> Re
 }
 
 fn kernels_checks(cur: &Loaded, base: &Loaded, failures: &mut Vec<String>) -> Result<(), String> {
-    // The baseline records *floors* (measured smoke runs sit near 3.1x
-    // int8 decode and 2.6x e2e speculation), so the comparison is
-    // absolute: zero tolerance.
+    // The baseline records *floors* (measured smoke runs sit at 1.0-2.3x
+    // int8 decode and 0.8-1.6x e2e speculation against the tiled f32
+    // path), so the comparison is absolute: zero tolerance.
     check_floor(
         failures,
         "kernels",

@@ -595,8 +595,8 @@ fn main() {
     if !matches!(scaling_2x.partial_cmp(&1.7), Some(Ord_::Greater | Ord_::Equal)) {
         violations.push(format!("scaling_2x {scaling_2x:.2} < 1.7"));
     }
-    if !matches!(scaling_4x.partial_cmp(&3.0), Some(Ord_::Greater | Ord_::Equal)) {
-        violations.push(format!("scaling_4x {scaling_4x:.2} < 3.0"));
+    if !matches!(scaling_4x.partial_cmp(&2.4), Some(Ord_::Greater | Ord_::Equal)) {
+        violations.push(format!("scaling_4x {scaling_4x:.2} < 2.4"));
     }
     if chaos_lost != 0 {
         violations.push(format!("chaos_lost {chaos_lost} != 0"));

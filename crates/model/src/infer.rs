@@ -228,18 +228,18 @@ impl InferenceSession {
                 1e-5,
             );
             // q into scratch; k,v straight into the cache row for `pos`.
-            row_matvec(&mut self.q, &self.ln, p.view(&lay.wq), c, c);
+            matmul_a_bt(&mut self.q, &self.ln, p.view(&lay.wq), 1, c, c);
             {
                 let krow = &mut self.k_cache[l][pos * c..(pos + 1) * c];
-                row_matvec(krow, &self.ln, p.view(&lay.wk), c, c);
+                matmul_a_bt(krow, &self.ln, p.view(&lay.wk), 1, c, c);
             }
             {
                 let vrow = &mut self.v_cache[l][pos * c..(pos + 1) * c];
-                row_matvec(vrow, &self.ln, p.view(&lay.wv), c, c);
+                matmul_a_bt(vrow, &self.ln, p.view(&lay.wv), 1, c, c);
             }
             self.rope_attend_step(l, pos);
             // Output projection + residual.
-            row_matvec(&mut self.proj, &self.attn_out, p.view(&lay.wo), c, c);
+            matmul_a_bt(&mut self.proj, &self.attn_out, p.view(&lay.wo), 1, c, c);
             for i in 0..c {
                 self.x[i] += self.proj[i];
             }
@@ -253,12 +253,12 @@ impl InferenceSession {
                 c,
                 1e-5,
             );
-            row_matvec(&mut self.gate, &self.ln, p.view(&lay.w_gate), c, f);
-            row_matvec(&mut self.up, &self.ln, p.view(&lay.w_up), c, f);
+            matmul_a_bt(&mut self.gate, &self.ln, p.view(&lay.w_gate), 1, c, f);
+            matmul_a_bt(&mut self.up, &self.ln, p.view(&lay.w_up), 1, c, f);
             for i in 0..f {
                 self.act[i] = self.gate[i] * ops::sigmoid(self.gate[i]) * self.up[i];
             }
-            row_matvec(&mut self.proj, &self.act, p.view(&lay.w_down), f, c);
+            matmul_a_bt(&mut self.proj, &self.act, p.view(&lay.w_down), 1, f, c);
             for i in 0..c {
                 self.x[i] += self.proj[i];
             }
@@ -274,9 +274,7 @@ impl InferenceSession {
             1e-5,
         );
         // Tied LM head: logits[v] = ln · embed_row(v).
-        for (vv, lg) in self.logits.iter_mut().enumerate() {
-            *lg = dot(&self.ln, &embed[vv * c..(vv + 1) * c]);
-        }
+        matmul_a_bt(&mut self.logits, &self.ln, embed, 1, c, self.cfg.vocab_size);
         self.pos += 1;
         &self.logits
     }
@@ -690,16 +688,6 @@ impl InferenceSession {
                 }
             }
         }
-    }
-}
-
-/// `y = x · Wᵀ` for a single row (`W` is `[out, in]` row-major).
-fn row_matvec(y: &mut [f32], x: &[f32], w: &[f32], d_in: usize, d_out: usize) {
-    debug_assert_eq!(x.len(), d_in);
-    debug_assert_eq!(y.len(), d_out);
-    debug_assert_eq!(w.len(), d_in * d_out);
-    for (o, yo) in y.iter_mut().enumerate() {
-        *yo = dot(x, &w[o * d_in..(o + 1) * d_in]);
     }
 }
 

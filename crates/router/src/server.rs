@@ -153,8 +153,10 @@ pub struct RouterStats {
 }
 
 /// A callback that hard-kills replica `id` — the `replica.crash` fault
-/// site's trigger, wired up by the in-process cluster harness.
-pub type CrashHook = Box<dyn Fn(u32) + Send + Sync>;
+/// site's trigger, wired up by the in-process cluster harness. Shared so
+/// the router can clone it out of its slot and call it with no lock held:
+/// the hook tears down a gateway, which takes lower-ranked gateway locks.
+pub type CrashHook = Arc<dyn Fn(u32) + Send + Sync>;
 
 struct RingState {
     ring: Ring,
@@ -540,8 +542,11 @@ fn forward_with_retries(
             // connect below fails and the request fails over.
             trace::mark_fault(tid, "replica.crash");
             metrics::counter("router.fault.replica_crash").add(1);
-            let (_order, hook) = sync::lock_ranked("router.crash_hook", &core.crash_hook);
-            if let Some(h) = hook.as_ref() {
+            let hook = {
+                let (_order, hook) = sync::lock_ranked("router.crash_hook", &core.crash_hook);
+                hook.clone()
+            };
+            if let Some(h) = hook {
                 h(id);
             }
         }

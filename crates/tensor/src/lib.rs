@@ -10,8 +10,11 @@
 //! Design notes (following the Rust Performance Book guidance):
 //!
 //! * kernels take `&[f32]`/`&mut [f32]` and never allocate;
-//! * inner loops are written in `i-k-j` order so the hot loop is a
+//! * `a·b` and `aᵀ·b` loop in `i-k-j` order so the hot loop is a
 //!   contiguous AXPY the compiler can vectorise;
+//! * `a·bᵀ` (every linear-layer forward) runs a 2×4 register-tiled SSE2
+//!   micro-kernel whose per-element lane order is exactly
+//!   [`matmul::dot`]'s, so it is bit-identical to one `dot` per output;
 //! * all kernels are deterministic — accumulation order is fixed.
 //!
 //! A small shape-carrying [`Tensor`] is provided for tests, examples and

@@ -1,7 +1,8 @@
-//! Micro-benchmark of the int8 kernels at S70b dimensions — per-token
-//! matvec cost f32 vs q8, and chunked-verification amortization (the
-//! `beta` cost-per-position ratio speculation relies on). Ignored by
-//! default; run with:
+//! Micro-benchmarks of the matmul kernels at S70b dimensions — per-token
+//! matvec cost f32 vs q8, chunked-verification amortization (the `beta`
+//! cost-per-position ratio speculation relies on), and the tiled f32
+//! `a · bᵀ` kernel against the one-`dot`-per-element loop it replaced.
+//! Ignored by default; run with:
 //!
 //! ```sh
 //! cargo test --release -p astro-tensor --test qbench -- --ignored --nocapture
@@ -10,7 +11,7 @@
 //! The end-to-end numbers CI gates on come from `kernels_bench`; this
 //! exists to localize a kernel regression to a single matmul shape.
 
-use astro_tensor::matmul::matmul_a_bt;
+use astro_tensor::matmul::{dot, matmul_a_bt};
 use astro_tensor::qmatmul::{matmul_q8_a_bt, matvec_q8, quantize_rows_q8};
 use std::time::Instant;
 
@@ -168,5 +169,52 @@ fn q8_vs_f32_matvec() {
         }
         let per_tok = t0.elapsed().as_secs_f64() / iters as f64 / m as f64;
         println!("f32 chunk m={m}: {:.1} us/token  beta={:.2}", per_tok * 1e6, per_tok / f32_tok);
+    }
+}
+
+/// `out = a · bᵀ` with one [`dot`] per output element: the scalar
+/// reference the tiled kernel must match bit for bit.
+fn scalar_a_bt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    for i in 0..m {
+        for j in 0..n {
+            out[i * n + j] = dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
+#[test]
+#[ignore]
+fn f32_a_bt_tiled_vs_scalar() {
+    // S70b d_model × d_ff at the decode (one row), prefill (mean prompt)
+    // and train (batch 4 × seq 224) row counts.
+    let (k, n) = (144usize, 392usize);
+    for (shape, m) in [("decode", 1usize), ("prefill", 137), ("train", 896)] {
+        let a = randv(m * k, 31 + m as u64);
+        let b = randv(n * k, 47);
+        let mut tiled = vec![0.0f32; m * n];
+        let mut scalar = vec![0.0f32; m * n];
+        let reps = (150_000_000 / (2 * m * k * n)).max(1);
+        let time = |f: &mut dyn FnMut()| {
+            let mut best = f64::INFINITY;
+            for _ in 0..5 {
+                let t0 = Instant::now();
+                for _ in 0..reps {
+                    f();
+                }
+                best = best.min(t0.elapsed().as_secs_f64() / reps as f64);
+            }
+            best
+        };
+        let t_tiled = time(&mut || matmul_a_bt(&mut tiled, &a, &b, m, k, n));
+        let t_scalar = time(&mut || scalar_a_bt(&mut scalar, &a, &b, m, k, n));
+        assert!(tiled.iter().zip(&scalar).all(|(x, y)| x.to_bits() == y.to_bits()));
+        let gflops = |t: f64| 2.0 * (m * k * n) as f64 / t / 1e9;
+        println!(
+            "f32 a·bT {shape:>7} m={m:<3} k={k} n={n}: \
+             tiled {:.1} GFLOP/s  scalar {:.1} GFLOP/s  speedup {:.2}x",
+            gflops(t_tiled),
+            gflops(t_scalar),
+            t_scalar / t_tiled
+        );
     }
 }
